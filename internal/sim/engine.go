@@ -22,10 +22,7 @@ const EngineVersion = "vip-engine/1"
 // event queue so the scheduling hot path is allocation-free.
 //
 // An Engine is single-threaded by design: one goroutine at a time may
-// schedule or execute events. The partitioned runtime
-// (internal/partition) runs one Engine per clock domain and hands each
-// domain to at most one worker per synchronization window, with the
-// window barrier ordering every cross-domain hand-off.
+// schedule or execute events.
 type Engine struct {
 	now Time
 	seq uint64
@@ -50,17 +47,6 @@ func (e *Engine) Pending() int { return e.q.len() }
 
 // Fired reports the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// NextAt reports the timestamp of the earliest pending event. ok is
-// false when the queue is empty. The partitioned orchestrator uses this
-// peek to compute the global safe-execution horizon (min over domain
-// heads plus the lookahead window) without disturbing the queue.
-func (e *Engine) NextAt() (at Time, ok bool) {
-	if e.q.len() == 0 {
-		return 0, false
-	}
-	return e.q.peek().at, true
-}
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) panics: it would silently reorder causality.

@@ -393,29 +393,6 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	e.Drain()
 }
 
-// TestEngineNextAt pins the peek the partitioned orchestrator builds
-// its safe-execution horizon on: NextAt must report the earliest
-// pending timestamp without executing or reordering anything.
-func TestEngineNextAt(t *testing.T) {
-	e := NewEngine()
-	if _, ok := e.NextAt(); ok {
-		t.Fatal("NextAt on an empty engine reported an event")
-	}
-	e.At(30, func() {})
-	e.At(10, func() {})
-	e.At(20, func() {})
-	if at, ok := e.NextAt(); !ok || at != 10 {
-		t.Fatalf("NextAt = %v,%v, want 10,true", at, ok)
-	}
-	if e.Fired() != 0 || e.Pending() != 3 {
-		t.Fatalf("NextAt disturbed the queue: fired=%d pending=%d", e.Fired(), e.Pending())
-	}
-	e.Step()
-	if at, ok := e.NextAt(); !ok || at != 20 {
-		t.Fatalf("NextAt after one step = %v,%v, want 20,true", at, ok)
-	}
-}
-
 // TestEngineZeroAllocChurn is the same assertion under churn: a deep
 // queue with out-of-order inserts, four pushes and four pops per round,
 // exercising both sift directions.

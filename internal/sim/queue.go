@@ -19,9 +19,7 @@ func (e *event) before(o *event) bool {
 // eventQueue is a 4-ary min-heap ordered by (at, seq), stored directly
 // in a []event. It is the storage half of the engine split: Engine owns
 // the clock and scheduling discipline, eventQueue owns the ordered
-// store, and the partitioned runtime (internal/partition) gives every
-// clock domain a private Engine — and therefore a private eventQueue —
-// so domains never contend on one shared heap.
+// store.
 //
 // Compared to the earlier container/heap implementation this removes
 // the interface{} boxing on every Push/Pop (one heap-escaping
