@@ -1,6 +1,8 @@
-// Command viptrace runs a short scenario with timeline tracing enabled
-// and exports what every IP, CPU core and flow was doing, when — as a
-// Chrome/Perfetto trace (-o trace.json) and an ASCII timeline on stdout.
+// Command viptrace runs a short scenario with phase tracing enabled and
+// exports what every IP, CPU core and flow was doing, when — as one
+// Chrome/Perfetto trace (-o trace.json) carrying the IP/CPU phases
+// together with the frame, hop, QoS and recovery spans, and an ASCII
+// timeline on stdout.
 //
 // Usage:
 //
@@ -20,7 +22,7 @@ import (
 	"github.com/vipsim/vip/internal/metrics"
 	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/sim"
-	"github.com/vipsim/vip/internal/trace"
+	"github.com/vipsim/vip/internal/telemetry"
 	"github.com/vipsim/vip/internal/workload"
 )
 
@@ -75,9 +77,9 @@ func main() {
 		specs = append(specs, a)
 	}
 
-	rec := trace.NewRecorder()
+	rec := telemetry.NewPhaseRecorder()
 	pcfg := platform.DefaultConfig(mode)
-	pcfg.Tracer = rec
+	pcfg.Spans = rec
 	if *metricsOut != "" {
 		pcfg.Metrics = metrics.NewRegistry()
 	}
@@ -118,7 +120,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nwrote %s (%d events) — open in ui.perfetto.dev\n", *out, rec.Len())
+		fmt.Printf("\nwrote %s (%d spans) — open in ui.perfetto.dev\n", *out, rec.Len())
 	}
 
 	if *metricsOut != "" {

@@ -9,7 +9,7 @@ import (
 
 	"github.com/vipsim/vip/internal/metrics"
 	"github.com/vipsim/vip/internal/sim"
-	"github.com/vipsim/vip/internal/trace"
+	"github.com/vipsim/vip/internal/telemetry"
 )
 
 // schedules: engine state advances in map order.
@@ -28,10 +28,13 @@ func constructs(m map[string]uint64) map[string]*sim.RNG {
 	return out
 }
 
-// emits: trace records appear in map order.
-func emits(tr *trace.Recorder, m map[string]sim.Time) {
-	for name, at := range m { // want `emits trace events via Recorder\.Mark`
-		tr.Mark("track", name, at)
+// emits: spans appear in map order.
+func emits(rec *telemetry.Recorder, m map[string]sim.Time) {
+	for name, at := range m { // want `emits spans via Recorder\.PhaseMark`
+		rec.PhaseMark("track", name, at)
+	}
+	for name, at := range m { // want `emits spans via Recorder\.Instant`
+		rec.Instant("track", "frame", name, at)
 	}
 }
 

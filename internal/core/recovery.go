@@ -36,9 +36,6 @@ func (r *Runner) checkFrame(fs *flowState, frame int) {
 	fs.faults++
 	r.frameTimeouts++
 	r.mFrameTimeouts.Inc()
-	if tr := r.p.Tracer(); tr != nil {
-		tr.Mark("driver", "fault/timeout/"+fs.spec.Name, r.p.Eng.Now())
-	}
 	r.spans.Detour(fs.track, frame, "timeout", r.p.Eng.Now())
 	attempt := fs.attempts[frame]
 	if attempt >= rec.maxRetries() {
@@ -56,9 +53,6 @@ func (r *Runner) checkFrame(fs *flowState, frame int) {
 		fs.degraded = true
 		r.degradedFlows++
 		r.mDegraded.Inc()
-		if tr := r.p.Tracer(); tr != nil {
-			tr.Mark("driver", "fault/degrade/"+fs.spec.Name, r.p.Eng.Now())
-		}
 		r.spans.Detour(fs.track, frame, "degrade", r.p.Eng.Now())
 	}
 	backoff := rec.backoff() << attempt

@@ -352,9 +352,6 @@ func (r *Runner) completeFrame(fs *flowState, frame int) {
 		start = j.StartedAt()
 		delete(fs.firstJob, frame)
 	}
-	if tr := r.p.Tracer(); tr != nil {
-		tr.Span(fs.track, fmt.Sprintf("f%d", frame), start, r.p.Eng.Now())
-	}
 	now := r.p.Eng.Now()
 	onTime := fs.qos.Completed(rel, start, now)
 	r.spans.Frame(fs.track, frame, rel, start, now, fs.qos.Deadline(rel), onTime)

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"github.com/vipsim/vip/internal/app"
+	"github.com/vipsim/vip/internal/fault"
+	"github.com/vipsim/vip/internal/ipcore"
 	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/sim"
+	"github.com/vipsim/vip/internal/telemetry"
 	"github.com/vipsim/vip/internal/workload"
 )
 
@@ -150,6 +155,58 @@ func TestDeterminism(t *testing.T) {
 	if a.TotalEnergyJ != b.TotalEnergyJ || a.DisplayedFrames != b.DisplayedFrames ||
 		a.CPU.Instructions != b.CPU.Instructions {
 		t.Error("same seed and config must give identical results")
+	}
+}
+
+// TestPhaseTraceSameSeedByteIdentical: the IP/CPU phase timeline of a
+// faulted VIP A5+A2+A6 run (120 ms, seed 7, uniform faults 0.02,
+// recovery on) is as reproducible as the causal span stream — same-seed
+// runs export byte-identical JSONL and Chrome traces — and it covers IP
+// phases, CPU tasks and fault marks.
+func TestPhaseTraceSameSeedByteIdentical(t *testing.T) {
+	run := func() (*telemetry.Recorder, []byte) {
+		var specs []app.Spec
+		for _, id := range []string{"A5", "A2", "A6"} {
+			a, _ := appByID(t, id)
+			specs = append(specs, a...)
+		}
+		rec := telemetry.NewPhaseRecorder()
+		pcfg := platform.DefaultConfig(platform.VIP)
+		pcfg.Spans, pcfg.Faults = rec, fault.Uniform(0.02, 7^0xfa17)
+		pcfg.Watchdog, pcfg.ResetLatency = 5*sim.Millisecond, 50*sim.Microsecond
+		pcfg.QuarantineAfter, pcfg.RepairLatency = 2, 20*sim.Millisecond
+		opts := DefaultOptions(platform.VIP)
+		opts.Duration, opts.Seed, opts.Recovery.Enabled = 120*sim.Millisecond, 7, true
+		r, err := NewRunner(platform.New(pcfg), specs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rec.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.WriteChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return rec, buf.Bytes()
+	}
+	rec, a := run()
+	if _, b := run(); !bytes.Equal(a, b) {
+		t.Error("same-seed phase traces export different JSONL/Chrome bytes")
+	}
+	var ipPhase, cpuPhase, faultMark bool
+	for _, s := range rec.Spans() {
+		if s.Cat == "phase" {
+			faultMark = faultMark || strings.HasPrefix(s.Name, "fault/")
+			cpuPhase = cpuPhase || strings.HasPrefix(s.Track, "CPU")
+			ipPhase = ipPhase || s.Track == ipcore.VD.String()
+		}
+	}
+	if !ipPhase || !cpuPhase || !faultMark {
+		t.Errorf("phase coverage: IP track %v, CPU track %v, fault mark %v; want all", ipPhase, cpuPhase, faultMark)
 	}
 }
 

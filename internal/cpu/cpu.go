@@ -19,7 +19,7 @@ import (
 	"github.com/vipsim/vip/internal/energy"
 	"github.com/vipsim/vip/internal/metrics"
 	"github.com/vipsim/vip/internal/sim"
-	"github.com/vipsim/vip/internal/trace"
+	"github.com/vipsim/vip/internal/telemetry"
 )
 
 // Config describes the CPU complex. DefaultConfig matches Table 3's
@@ -43,8 +43,9 @@ type Config struct {
 	// already queued behind the core (scheduler + cache contention).
 	LoadFactor float64
 
-	// Tracer, when non-nil, records per-core task timelines.
-	Tracer trace.Tracer
+	// Spans, when a phase recorder, receives per-core task timelines
+	// (one phase span per task on track "CPU<n>").
+	Spans *telemetry.Recorder
 
 	// Metrics, when non-nil, receives the complex's gauges (busy
 	// fraction, sleep residency, run-queue depth, interrupt counts).
@@ -241,10 +242,10 @@ func (cx *Complex) startNext(c *core) {
 	}
 
 	total := wake + eff
-	if cx.cfg.Tracer != nil {
+	if cx.cfg.Spans.Phases() {
 		for i := range cx.cores {
 			if cx.cores[i] == c {
-				cx.cfg.Tracer.Span(fmt.Sprintf("CPU%d", i), t.Label, now, now+total)
+				cx.cfg.Spans.Phase(fmt.Sprintf("CPU%d", i), t.Label, now, now+total)
 				break
 			}
 		}

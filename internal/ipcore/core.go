@@ -10,7 +10,6 @@ import (
 	"github.com/vipsim/vip/internal/noc"
 	"github.com/vipsim/vip/internal/sim"
 	"github.com/vipsim/vip/internal/telemetry"
-	"github.com/vipsim/vip/internal/trace"
 )
 
 // Policy selects the lane scheduler implemented in the IP's hardware.
@@ -91,10 +90,6 @@ type Config struct {
 	// Power (watts) by activity.
 	ActiveW, StallW, IdleW float64
 
-	// Tracer, when non-nil, records the core's phase timeline and frame
-	// completions.
-	Tracer trace.Tracer
-
 	// Metrics, when non-nil, receives the core's gauges (busy fraction,
 	// lane occupancy, flow-buffer fill, context switches), prefixed
 	// "ip.<Name>.".
@@ -102,7 +97,9 @@ type Config struct {
 
 	// Spans, when non-nil, receives one queue span and one service span
 	// per retired job (the per-hop segments of a frame's causal trace),
-	// annotated with DRAM/NoC wait time and bytes moved.
+	// annotated with DRAM/NoC wait time and bytes moved. A phase
+	// recorder also receives the core's compute/stall phase timeline and
+	// lane hang/quarantine marks.
 	Spans *telemetry.Recorder
 
 	// Injector, when non-nil and enabled, delivers hardware faults to
@@ -383,8 +380,8 @@ func (c *Core) kick() {
 func (c *Core) setPhase(p Phase) {
 	now := c.eng.Now()
 	d := now - c.phaseSince
-	if d > 0 && c.cfg.Tracer != nil && c.phase != PhaseIdle {
-		c.cfg.Tracer.Span(c.cfg.Name, phaseTraceName(c.phase), c.phaseSince, now)
+	if d > 0 && c.cfg.Spans.Phases() && c.phase != PhaseIdle {
+		c.cfg.Spans.Phase(c.cfg.Name, phaseTraceName(c.phase), c.phaseSince, now)
 	}
 	if d > 0 {
 		switch c.phase {
@@ -871,9 +868,6 @@ func (c *Core) maybeComplete(j *Job) {
 	}
 	j.done = true
 	j.finishedAt = c.eng.Now()
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Mark(c.cfg.Name, j.Label, c.eng.Now())
-	}
 	c.cfg.Spans.Hop(c.cfg.Name, j.lane.idx, j.FlowID, j.Frame, j.Stage,
 		j.submitAt, j.startedAt, j.finishedAt, j.dramNS, j.nocNS, j.InBytes, j.OutBytes)
 	c.stats.Frames++
@@ -936,8 +930,8 @@ func (c *Core) startHang(l *Lane, h fault.Hang) {
 	l.hangStart = c.eng.Now()
 	l.hangGen++
 	gen := l.hangGen
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Mark(c.cfg.Name, fmt.Sprintf("fault/hang/lane%d", l.idx), c.eng.Now())
+	if c.cfg.Spans.Phases() {
+		c.cfg.Spans.PhaseMark(c.cfg.Name, fmt.Sprintf("fault/hang/lane%d", l.idx), c.eng.Now())
 	}
 	if !h.Permanent {
 		c.eng.After(h.Duration, func() {
@@ -997,8 +991,8 @@ func (c *Core) quarantineLane(l *Lane) {
 	l.hungPerm = false
 	l.quarantined = true
 	l.hangGen++
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Mark(c.cfg.Name, fmt.Sprintf("fault/quarantine/lane%d", l.idx), c.eng.Now())
+	if c.cfg.Spans.Phases() {
+		c.cfg.Spans.PhaseMark(c.cfg.Name, fmt.Sprintf("fault/quarantine/lane%d", l.idx), c.eng.Now())
 	}
 	var stranded []*Job
 	for _, j := range l.jobs {

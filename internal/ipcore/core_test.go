@@ -8,7 +8,7 @@ import (
 	"github.com/vipsim/vip/internal/energy"
 	"github.com/vipsim/vip/internal/noc"
 	"github.com/vipsim/vip/internal/sim"
-	"github.com/vipsim/vip/internal/trace"
+	"github.com/vipsim/vip/internal/telemetry"
 )
 
 // rig bundles the substrate a core needs.
@@ -755,9 +755,9 @@ func TestPolicyStringsAll(t *testing.T) {
 
 func TestTracerHooks(t *testing.T) {
 	r := newRig()
-	rec := trace.NewRecorder()
+	rec := telemetry.NewPhaseRecorder()
 	cfg := testConfig("vd")
-	cfg.Tracer = rec
+	cfg.Spans = rec
 	c := r.newCore(cfg)
 	done := false
 	j := &Job{Label: "f0", InBytes: 8 << 10, OutBytes: 8 << 10,
@@ -770,19 +770,16 @@ func TestTracerHooks(t *testing.T) {
 	if !done {
 		t.Fatal("job did not finish")
 	}
-	if rec.Len() == 0 {
-		t.Fatal("tracer recorded nothing")
-	}
-	sawCompute, sawMark := false, false
-	for _, e := range rec.Events() {
-		if e.Track == "vd" && e.Name == "compute" && e.Dur > 0 {
+	sawCompute, sawService := false, false
+	for _, s := range rec.Spans() {
+		if s.Track == "vd" && s.Cat == "phase" && s.Name == "compute" && s.Dur > 0 {
 			sawCompute = true
 		}
-		if e.Name == "f0" && e.Dur == 0 {
-			sawMark = true
+		if s.Cat == "hop" && s.Name == "f0/service" && s.Start+s.Dur == j.FinishedAt() {
+			sawService = true
 		}
 	}
-	if !sawCompute || !sawMark {
-		t.Error("expected compute spans and a frame mark")
+	if !sawCompute || !sawService {
+		t.Errorf("expected a compute phase span and the job's f0/service hop span, got %+v", rec.Spans())
 	}
 }

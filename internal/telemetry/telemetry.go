@@ -1,5 +1,6 @@
 // Package telemetry records causal, per-frame spans of a simulation —
-// where each frame's time went as it hopped its IP chain — and the
+// where each frame's time went as it hopped its IP chain — the per-IP and
+// per-CPU phase timeline (what every core was doing, when), and the
 // wall-clock request spans of the serving layer. The two clock domains
 // never mix:
 //
@@ -7,7 +8,8 @@
 //     deterministic engine clock. Same scenario, same seed — byte-identical
 //     span log, which the reproducibility tests pin. This file and its
 //     exports must therefore never read the host clock; the viplint
-//     `walltime` rule enforces that.
+//     `walltime` rule enforces that. Exports are JSON Lines, one
+//     Chrome/Perfetto trace and a plain-text timeline.
 //
 //   - Wall-clock request spans (RequestSpan, reqspan.go) carry host-side
 //     HTTP stage latencies. They are data holders only: the serving layer
@@ -29,7 +31,8 @@ import (
 // Span is one recorded interval (or instant, when End == Start) on a
 // named track. Categories partition the stream: "frame" for frame
 // lifecycle, "hop" for per-stage queue/service segments, "qos" for
-// deadline outcomes, "recovery" for fault detours.
+// deadline outcomes, "recovery" for fault detours, and "phase" for the
+// IP/CPU activity timeline (recorded only by a NewPhaseRecorder).
 type Span struct {
 	Track string   `json:"track"`
 	Cat   string   `json:"cat"`
@@ -55,16 +58,29 @@ func Str(k, v string) Attr { return Attr{Key: k, Val: v} }
 // Recorder accumulates sim-time spans in memory. A nil *Recorder is a
 // valid no-op probe. The engine is single-threaded, so no locking: spans
 // arrive in deterministic event order.
+//
+// Whether phases are recorded is fixed at construction. The phase
+// timeline is sub-frame granular — hundreds of thousands of spans where
+// the causal stream has a few hundred — so only callers that want it
+// (cmd/viptrace) build a NewPhaseRecorder.
 type Recorder struct {
-	spans []Span
+	spans  []Span
+	phases bool
+	last   map[string]int // track -> index of its latest phase span
 }
 
-// NewRecorder returns an empty recorder.
+// NewRecorder returns an empty recorder of the causal stream; it ignores
+// Phase and PhaseMark.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Enabled reports whether spans are being recorded; emission sites that
-// need to build attributes can skip the work when it returns false.
-func (r *Recorder) Enabled() bool { return r != nil }
+// NewPhaseRecorder returns an empty recorder of the causal stream plus
+// the IP/CPU phase timeline.
+func NewPhaseRecorder() *Recorder { return &Recorder{phases: true} }
+
+// Phases reports whether phase spans are being recorded. Emission sites
+// guard on it so that untraced runs pay one pointer compare and never
+// format a phase name.
+func (r *Recorder) Phases() bool { return r != nil && r.phases }
 
 // Len reports the number of recorded spans.
 func (r *Recorder) Len() int {
@@ -90,6 +106,37 @@ func (r *Recorder) Instant(track, cat, name string, at sim.Time, attrs ...Attr) 
 	r.spans = append(r.spans, Span{Track: track, Cat: cat, Name: name, Start: at, Attrs: attrs})
 }
 
+// Phase records that track was in phase name from start to end. A span
+// that starts where the track's previous phase span of the same name
+// ended extends it, which keeps sub-frame-granular timelines compact.
+// Inverted spans are dropped. No-op unless Phases reports true.
+func (r *Recorder) Phase(track, name string, start, end sim.Time) {
+	if !r.Phases() || end < start {
+		return
+	}
+	if r.last == nil {
+		r.last = make(map[string]int)
+	}
+	if i, ok := r.last[track]; ok {
+		s := &r.spans[i]
+		if s.Name == name && s.Start+s.Dur == start {
+			s.Dur = end - s.Start
+			return
+		}
+	}
+	r.spans = append(r.spans, Span{Track: track, Cat: "phase", Name: name, Start: start, Dur: end - start})
+	r.last[track] = len(r.spans) - 1
+}
+
+// PhaseMark records an instantaneous phase-timeline event on track
+// (a lane hang or quarantine). No-op unless Phases reports true.
+func (r *Recorder) PhaseMark(track, name string, at sim.Time) {
+	if !r.Phases() {
+		return
+	}
+	r.spans = append(r.spans, Span{Track: track, Cat: "phase", Name: name, Start: at})
+}
+
 // Spans returns a copy of the recording, stably sorted by start time
 // (ties keep emission order, which is deterministic).
 func (r *Recorder) Spans() []Span {
@@ -108,12 +155,18 @@ func (r *Recorder) Spans() []Span {
 // The release instant may lie ahead of the emission time (burst headers
 // pace descriptors into the future); the sorted export orders it correctly.
 func (r *Recorder) FrameSubmit(track string, frame int, at sim.Time) {
+	if r == nil {
+		return
+	}
 	r.Instant(track, "frame", fmt.Sprintf("submit/f%d", frame), at)
 }
 
 // FrameDrop marks a frame dropped at release because the driver queue
 // (MaxBacklog) was full.
 func (r *Recorder) FrameDrop(track string, frame int, at sim.Time) {
+	if r == nil {
+		return
+	}
 	r.Instant(track, "frame", fmt.Sprintf("drop/f%d", frame), at)
 }
 
@@ -144,12 +197,18 @@ func (r *Recorder) Frame(track string, frame int, release, start, end, deadline 
 // FrameExpired marks a frame that never completed within the run and was
 // charged as a violation at end-of-run accounting.
 func (r *Recorder) FrameExpired(track string, frame int, deadline sim.Time) {
+	if r == nil {
+		return
+	}
 	r.Instant(track, "qos", fmt.Sprintf("expired/f%d", frame), deadline)
 }
 
 // Detour marks a fault-recovery action (kind: "timeout", "retry",
 // "degrade", "fail") taken for a frame on the flow track.
 func (r *Recorder) Detour(track string, frame int, kind string, at sim.Time) {
+	if r == nil {
+		return
+	}
 	r.Instant(track, "recovery", fmt.Sprintf("%s/f%d", kind, frame), at)
 }
 

@@ -39,7 +39,7 @@ const EngineVersion = sim.EngineVersion
 //   - normalizes a Faults block through the same defaulting the
 //     simulator applies (derived fault seed, mean hang time, slowdown
 //     factor, ECC retry latency), and omits it entirely when nil;
-//   - excludes host-side observers (ChromeTrace, OnMetricsSnapshot),
+//   - excludes host-side observers (TraceSpans, OnMetricsSnapshot),
 //     which never influence simulated results.
 //
 // Fields appear one per line in a fixed order, so the encoding is also

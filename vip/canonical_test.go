@@ -114,17 +114,17 @@ func TestCanonicalFieldSensitivity(t *testing.T) {
 		t.Error("DisableRecovery should flip the hash")
 	}
 
-	// Host-side observers are not semantic: a trace sink or a snapshot
+	// Host-side observers are not semantic: span tracing or a snapshot
 	// hook changes nothing about the simulated run.
 	obs := base
-	obs.ChromeTrace = &strings.Builder{}
+	obs.TraceSpans = true
 	obs.OnMetricsSnapshot = func([]byte) {}
 	ho, err := obs.Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ho != baseHash {
-		t.Error("ChromeTrace/OnMetricsSnapshot should not affect the hash")
+		t.Error("TraceSpans/OnMetricsSnapshot should not affect the hash")
 	}
 }
 

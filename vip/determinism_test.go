@@ -15,7 +15,6 @@ type artifacts struct {
 	report     []byte
 	tsJSON     []byte
 	tsCSV      []byte
-	chrome     []byte
 	spanJSONL  []byte
 	spanChrome []byte
 	summary    string
@@ -26,7 +25,6 @@ type artifacts struct {
 // export is on.
 func runOnce(t *testing.T, seed uint64) artifacts {
 	t.Helper()
-	var chrome bytes.Buffer
 	faults := vip.UniformFaults(0.02)
 	res, err := vip.Simulate(vip.Scenario{
 		System:          vip.SystemVIP,
@@ -34,7 +32,6 @@ func runOnce(t *testing.T, seed uint64) artifacts {
 		Duration:        120 * vip.Millisecond,
 		Seed:            seed,
 		MetricsInterval: vip.Millisecond,
-		ChromeTrace:     &chrome,
 		TraceSpans:      true,
 		Faults:          faults,
 	})
@@ -67,7 +64,6 @@ func runOnce(t *testing.T, seed uint64) artifacts {
 		t.Fatal(err)
 	}
 	out.spanChrome = append([]byte(nil), buf.Bytes()...)
-	out.chrome = chrome.Bytes()
 	out.summary = res.Summary()
 	return out
 }
@@ -76,12 +72,12 @@ func runOnce(t *testing.T, seed uint64) artifacts {
 // evaluation methodology (and viplint's rule suite) exists to protect:
 // two runs of the same faulted multi-app scenario with the same seed
 // must export byte-identical report JSON, metric time series (JSON and
-// CSV), Chrome trace and summary.
+// CSV), span log (JSONL and Chrome) and summary.
 func TestSameSeedByteIdentical(t *testing.T) {
 	a := runOnce(t, 7)
 	b := runOnce(t, 7)
 	checkArtifacts(t, "same-seed runs", a, b)
-	if len(a.report) == 0 || len(a.tsCSV) == 0 || len(a.chrome) == 0 || len(a.spanJSONL) == 0 {
+	if len(a.report) == 0 || len(a.tsCSV) == 0 || len(a.spanJSONL) == 0 {
 		t.Fatal("a determinism check over empty artifacts proves nothing")
 	}
 	// The faulted multi-app scenario must exercise every span category,
@@ -113,7 +109,6 @@ func checkArtifacts(t *testing.T, label string, a, b artifacts) {
 	check("report JSON", a.report, b.report)
 	check("time-series JSON", a.tsJSON, b.tsJSON)
 	check("time-series CSV", a.tsCSV, b.tsCSV)
-	check("chrome trace", a.chrome, b.chrome)
 	check("span JSONL", a.spanJSONL, b.spanJSONL)
 	check("span chrome trace", a.spanChrome, b.spanChrome)
 	if a.summary != b.summary {

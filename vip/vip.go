@@ -30,7 +30,6 @@ package vip
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"github.com/vipsim/vip/internal/app"
@@ -40,7 +39,6 @@ import (
 	"github.com/vipsim/vip/internal/platform"
 	"github.com/vipsim/vip/internal/sim"
 	"github.com/vipsim/vip/internal/telemetry"
-	"github.com/vipsim/vip/internal/trace"
 	"github.com/vipsim/vip/internal/workload"
 )
 
@@ -135,10 +133,6 @@ type Scenario struct {
 	// LaneBufferBytes overrides the per-lane flow-buffer size
 	// (default 2048, the paper's design point).
 	LaneBufferBytes int
-	// ChromeTrace, when non-nil, receives a Chrome/Perfetto trace of the
-	// run (open in ui.perfetto.dev). Keep traced runs short: traces are
-	// sub-frame-granular and grow quickly.
-	ChromeTrace io.Writer
 	// TraceSpans, when true, records the causal frame-lifecycle span
 	// stream: one span per frame (release to display, with its QoS
 	// outcome), per-hop queue/service segments annotated with DRAM/NoC
@@ -346,11 +340,6 @@ func SimulateApps(sc Scenario, apps ...app.Spec) (*Result, error) {
 	if sc.LaneBufferBytes > 0 {
 		pcfg.LaneBufBytes = sc.LaneBufferBytes
 	}
-	var rec *trace.Recorder
-	if sc.ChromeTrace != nil {
-		rec = trace.NewRecorder()
-		pcfg.Tracer = rec
-	}
 	var spanRec *telemetry.Recorder
 	if sc.TraceSpans {
 		spanRec = telemetry.NewRecorder()
@@ -396,11 +385,6 @@ func SimulateApps(sc Scenario, apps ...app.Spec) (*Result, error) {
 	rep, err := r.Run()
 	if err != nil {
 		return nil, err
-	}
-	if rec != nil {
-		if err := rec.WriteChrome(sc.ChromeTrace); err != nil {
-			return nil, fmt.Errorf("vip: writing trace: %w", err)
-		}
 	}
 	res := newResult(sc, rep)
 	if s := r.Sampler(); s != nil {

@@ -205,24 +205,6 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 }
 
-func TestChromeTraceOption(t *testing.T) {
-	var buf bytes.Buffer
-	_, err := Simulate(Scenario{
-		System: SystemVIP, Apps: []string{"A3"},
-		Duration: 30 * Millisecond, ChromeTrace: &buf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var evs []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(evs) < 10 {
-		t.Errorf("trace has only %d events", len(evs))
-	}
-}
-
 // TestMetricsTimeSeries pins the headline observability acceptance: a
 // metered run exports a time series with the paper's key probes at the
 // configured interval, byte-identically across same-seed runs.
